@@ -78,6 +78,7 @@ int main(int argc, char** argv) {
     options.workload = cli.get_string("workload");
     options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     options.num_threads = static_cast<std::size_t>(cli.get_int("threads"));
+    options.surrogate.num_threads = options.num_threads;
     options.resume = cli.get_flag("resume");
 
     const std::string space = cli.get_string("space");

@@ -6,6 +6,7 @@
 /// results or through a trained surrogate over a (possibly larger)
 /// candidate space — and render the paper-style recommendation text.
 
+#include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
@@ -33,10 +34,14 @@ std::vector<Recommendation> recommend_from_sweep(
 /// Picks the best point per metric by *surrogate prediction* over a
 /// candidate space (the ML-accelerated DSE the paper proposes): trains
 /// the chosen model family on `labeled` rows, scores `candidates`.
+/// The per-metric deploy + score + argmin tasks run over a pool of
+/// `num_threads` workers (0: hardware concurrency, 1: serial), each
+/// fitting serially; recommendations are identical for any value, and
+/// a failure rethrows the first failing metric's error in metric order.
 std::vector<Recommendation> recommend_from_surrogate(
     std::span<const SweepRow> labeled,
     std::span<const DesignPoint> candidates,
-    const std::string& model_name = "svr");
+    const std::string& model_name = "svr", std::size_t num_threads = 0);
 
 /// Paper-style report: the §IV-B bullet list.
 std::string format_recommendations(std::span<const Recommendation> recs);

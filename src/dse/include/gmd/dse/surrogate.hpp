@@ -39,13 +39,15 @@ struct SurrogateOptions {
   std::vector<std::string> models;  ///< Empty: the paper's four families.
   double test_fraction = 0.2;
   std::uint64_t seed = 1;
-  /// Cooperative cancellation: polled between metrics/models and wired
-  /// into the tree-ensemble training loops (rf per tree, gb per stage).
-  /// Non-owning; must outlive train().
+  /// Cooperative cancellation: polled before each metric and each
+  /// (metric, model) fit, and wired into the tree-ensemble training
+  /// loops (rf per tree, gb per stage).  Pool workers use the
+  /// thread-safe check_now() only.  Non-owning; must outlive train().
   Deadline* deadline = nullptr;
-  /// Worker threads the tree-ensemble families may use while fitting
-  /// (0: hardware concurrency, 1: serial).  Fits are bit-identical for
-  /// any value.
+  /// Width of the (metric, model) fan-out: the independent fits run
+  /// over one pool of this many workers (0: hardware concurrency,
+  /// 1: serial), and each fit inside it runs serially.  Results,
+  /// skips and the error that escapes are bit-identical for any value.
   std::size_t num_threads = 0;
   /// Degraded mode: a metric whose dataset build or model training
   /// fails is recorded in skipped() and training continues with the

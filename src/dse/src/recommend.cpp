@@ -1,9 +1,11 @@
 #include "gmd/dse/recommend.hpp"
 
+#include <exception>
 #include <sstream>
 
 #include "gmd/common/error.hpp"
 #include "gmd/common/string_util.hpp"
+#include "gmd/common/thread_pool.hpp"
 
 namespace gmd::dse {
 
@@ -60,30 +62,41 @@ std::vector<Recommendation> recommend_from_sweep(
 
 std::vector<Recommendation> recommend_from_surrogate(
     std::span<const SweepRow> labeled,
-    std::span<const DesignPoint> candidates,
-    const std::string& model_name) {
+    std::span<const DesignPoint> candidates, const std::string& model_name,
+    std::size_t num_threads) {
   GMD_REQUIRE(!candidates.empty(), "no candidate design points");
-  std::vector<Recommendation> recs;
-  for (const std::string& metric : target_metric_names()) {
-    const auto deployed =
-        SurrogateSuite::deploy(labeled, metric, model_name);
-    const Direction direction = metric_direction(metric);
-    // One batch prediction over the whole candidate set; the champion
-    // scan in index order makes the same comparisons the per-candidate
-    // loop made.
-    const std::vector<double> values = deployed.predict(candidates);
-    std::size_t best_idx = 0;
-    for (std::size_t i = 1; i < candidates.size(); ++i) {
-      if (better(direction, values[i], values[best_idx])) best_idx = i;
+  const auto& metrics = target_metric_names();
+  std::vector<Recommendation> recs(metrics.size());
+  std::vector<std::exception_ptr> errors(metrics.size());
+  ThreadPool pool(num_threads);
+  pool.parallel_for(0, metrics.size(), [&](std::size_t m) {
+    try {
+      const auto deployed =
+          SurrogateSuite::deploy(labeled, metrics[m], model_name, 1, 1);
+      const Direction direction = metric_direction(metrics[m]);
+      // One batch prediction over the whole candidate set; the champion
+      // scan in index order makes the same comparisons the per-candidate
+      // loop made.
+      const std::vector<double> values = deployed.predict(candidates);
+      std::size_t best_idx = 0;
+      for (std::size_t i = 1; i < candidates.size(); ++i) {
+        if (better(direction, values[i], values[best_idx])) best_idx = i;
+      }
+      Recommendation& rec = recs[m];
+      rec.metric = metrics[m];
+      rec.best = candidates[best_idx];
+      rec.value = values[best_idx];
+      rec.rationale = "predicted optimum by the '" + model_name +
+                      "' surrogate over " +
+                      std::to_string(candidates.size()) + " candidates";
+    } catch (...) {
+      errors[m] = std::current_exception();
     }
-    Recommendation rec;
-    rec.metric = metric;
-    rec.best = candidates[best_idx];
-    rec.value = values[best_idx];
-    rec.rationale = "predicted optimum by the '" + model_name +
-                    "' surrogate over " + std::to_string(candidates.size()) +
-                    " candidates";
-    recs.push_back(std::move(rec));
+  });
+  // Whichever worker failed first, report the first failure in metric
+  // order, so the error does not depend on the pool width.
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
   return recs;
 }

@@ -1,8 +1,10 @@
 #include "gmd/dse/surrogate.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 
 #include "gmd/common/atomic_file.hpp"
 #include "gmd/common/deadline.hpp"
@@ -10,59 +12,130 @@
 #include "gmd/common/faultinject.hpp"
 #include "gmd/common/logging.hpp"
 #include "gmd/common/string_util.hpp"
+#include "gmd/common/thread_pool.hpp"
 #include "gmd/ml/metrics.hpp"
 #include "gmd/ml/serialize.hpp"
 
 namespace gmd::dse {
+
+namespace {
+
+/// True when a metric's error must escape train() instead of being
+/// recorded as a skip: every error outside degraded mode, and always
+/// kTimeout/kCancelled, which mean "stop training", not "this metric
+/// is bad".  Exceptions that are not a gmd::Error always escape.
+bool stops_training(const Error& e, bool skip_failed_metrics) {
+  return !skip_failed_metrics || e.code() == ErrorCode::kTimeout ||
+         e.code() == ErrorCode::kCancelled;
+}
+
+/// One metric's held-out split, built on the caller thread.
+struct MetricJob {
+  ml::Dataset train_set;
+  ml::Dataset test_set;
+  std::size_t quarantined_rows = 0;
+  std::exception_ptr error;
+};
+
+/// One (metric, model) fit, written by exactly one pool task.
+struct FitSlot {
+  SurrogateScore score;
+  std::vector<double> predicted;
+  std::exception_ptr error;
+};
+
+}  // namespace
 
 SurrogateSuite SurrogateSuite::train(std::span<const SweepRow> rows,
                                      const SurrogateOptions& options) {
   GMD_REQUIRE(rows.size() >= 10, "need at least 10 sweep rows to train");
   const std::vector<std::string> models =
       options.models.empty() ? ml::table1_model_names() : options.models;
+  const std::vector<std::string>& metrics = target_metric_names();
 
-  SurrogateSuite suite;
-  for (const std::string& metric : target_metric_names()) {
-    if (options.deadline != nullptr) options.deadline->check_now();
+  // Datasets and splits, in metric order on the caller thread.  A
+  // failure is held as that metric's error; one that must propagate
+  // ends the loop, because no later metric could ever be reported.
+  std::vector<MetricJob> jobs(metrics.size());
+  std::size_t reached = metrics.size();
+  for (std::size_t m = 0; m < metrics.size(); ++m) {
     try {
-      const MetricDataset metric_data = build_metric_dataset(rows, metric);
-      if (metric_data.quarantined_rows > 0) {
-        suite.quarantined_[metric] = metric_data.quarantined_rows;
-      }
-      const auto [train_set, test_set] = ml::train_test_split(
+      if (options.deadline != nullptr) options.deadline->check_now();
+      const MetricDataset metric_data = build_metric_dataset(rows, metrics[m]);
+      jobs[m].quarantined_rows = metric_data.quarantined_rows;
+      std::tie(jobs[m].train_set, jobs[m].test_set) = ml::train_test_split(
           metric_data.data, options.test_fraction, options.seed);
-
-      PredictionSeries series;
-      series.metric = metric;
-      series.truth = test_set.y;
-
-      for (const std::string& model_name : models) {
-        const auto model = ml::make_regressor(
-            model_name, options.seed, options.deadline, options.num_threads);
-        model->fit(train_set.X, train_set.y);
-        std::vector<double> predicted = model->predict(test_set.X);
-
-        SurrogateScore score;
-        score.metric = metric;
-        score.model = model_name;
-        score.mse = ml::mse(test_set.y, predicted);
-        score.r2 = ml::r2_score(test_set.y, predicted);
-        suite.scores_.push_back(score);
-        series.predictions[model_name] = std::move(predicted);
-      }
-      suite.series_.push_back(std::move(series));
     } catch (const Error& e) {
-      // kTimeout/kCancelled mean "stop training", not "this metric is
-      // bad" — they always propagate.  Other failures are degraded-mode
-      // material: record the metric and keep training the rest.
-      if (!options.skip_failed_metrics || e.code() == ErrorCode::kTimeout ||
-          e.code() == ErrorCode::kCancelled) {
-        throw;
+      jobs[m].error = std::current_exception();
+      if (stops_training(e, options.skip_failed_metrics)) {
+        reached = m + 1;
+        break;
       }
-      GMD_LOG_WARN << "surrogate training: skipping metric '" << metric
-                   << "' [" << to_string(e.code()) << "]: " << e.what();
-      suite.skipped_.push_back(SkippedMetric{metric, e.code(), e.what()});
+    } catch (...) {
+      jobs[m].error = std::current_exception();
+      reached = m + 1;
+      break;
     }
+  }
+
+  // The (metric, model) fits are independent: fan them over one pool,
+  // each fitting serially, into per-task slots.
+  std::vector<FitSlot> slots(reached * models.size());
+  ThreadPool pool(options.num_threads);
+  pool.parallel_for(0, slots.size(), [&](std::size_t t) {
+    const MetricJob& job = jobs[t / models.size()];
+    if (job.error) return;
+    FitSlot& slot = slots[t];
+    try {
+      if (options.deadline != nullptr) options.deadline->check_now();
+      slot.score.metric = metrics[t / models.size()];
+      slot.score.model = models[t % models.size()];
+      const auto model = ml::make_regressor(slot.score.model, options.seed,
+                                            options.deadline, 1);
+      model->fit(job.train_set.X, job.train_set.y);
+      slot.predicted = model->predict(job.test_set.X);
+      slot.score.mse = ml::mse(job.test_set.y, slot.predicted);
+      slot.score.r2 = ml::r2_score(job.test_set.y, slot.predicted);
+    } catch (...) {
+      slot.error = std::current_exception();
+    }
+  });
+
+  // Merge in (metric, model) order on the caller thread, so the suite,
+  // its log lines and the error that escapes do not depend on the pool
+  // width.  A metric's error is its dataset's, else its first failing
+  // model's.
+  SurrogateSuite suite;
+  for (std::size_t m = 0; m < reached; ++m) {
+    MetricJob& job = jobs[m];
+    if (job.quarantined_rows > 0) {
+      suite.quarantined_[metrics[m]] = job.quarantined_rows;
+    }
+    std::exception_ptr error = job.error;
+    for (std::size_t k = 0; k < models.size() && !error; ++k) {
+      error = slots[m * models.size() + k].error;
+    }
+    if (error) {
+      try {
+        std::rethrow_exception(error);
+      } catch (const Error& e) {
+        if (stops_training(e, options.skip_failed_metrics)) throw;
+        GMD_LOG_WARN << "surrogate training: skipping metric '" << metrics[m]
+                     << "' [" << to_string(e.code()) << "]: " << e.what();
+        suite.skipped_.push_back(SkippedMetric{metrics[m], e.code(), e.what()});
+      }
+      continue;
+    }
+
+    PredictionSeries series;
+    series.metric = metrics[m];
+    series.truth = std::move(job.test_set.y);
+    for (std::size_t k = 0; k < models.size(); ++k) {
+      FitSlot& slot = slots[m * models.size() + k];
+      suite.scores_.push_back(slot.score);
+      series.predictions[models[k]] = std::move(slot.predicted);
+    }
+    suite.series_.push_back(std::move(series));
   }
   GMD_REQUIRE(!suite.scores_.empty(),
               "surrogate training failed for every metric");

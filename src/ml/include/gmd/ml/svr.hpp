@@ -7,8 +7,10 @@
 /// Solver: dual coordinate descent on the epsilon-SVR objective with
 /// the bias folded into the kernel (K + 1), which removes the equality
 /// constraint and makes each dual coefficient's subproblem a scalar
-/// soft-threshold — exact, simple, and fast at this dataset scale
-/// (hundreds of samples).
+/// soft-threshold.  Each full sweep costs O(n^2) over a dense Gram
+/// matrix, which suits this dataset scale (hundreds of samples).  A fit
+/// is single-threaded; the surrogate stage gets its parallelism by
+/// running independent fits side by side, not from inside one.
 
 #include <iosfwd>
 #include <span>

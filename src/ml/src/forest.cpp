@@ -1,6 +1,7 @@
 #include "gmd/ml/forest.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <istream>
 #include <numeric>
 #include <ostream>
@@ -12,6 +13,25 @@
 #include "gmd/common/thread_pool.hpp"
 
 namespace gmd::ml {
+
+namespace {
+
+/// Runs build(t) for every tree.  A serial fit builds its trees on the
+/// calling thread instead of a one-worker pool: callers that fan fits
+/// out over their own pool (SurrogateSuite::train) fit with one thread,
+/// and a nested pool would only add a thread per fit.  Each tree writes
+/// its own slot, so the result is the same either way.
+void for_each_tree(std::size_t num_threads, std::size_t num_trees,
+                   const std::function<void(std::size_t)>& build) {
+  if (num_threads == 1) {
+    for (std::size_t t = 0; t < num_trees; ++t) build(t);
+    return;
+  }
+  ThreadPool pool(num_threads);
+  pool.parallel_for(0, num_trees, build);
+}
+
+}  // namespace
 
 RandomForest::RandomForest(const ForestParams& params) : params_(params) {
   GMD_REQUIRE(params.num_trees >= 1, "forest needs at least one tree");
@@ -55,8 +75,7 @@ void RandomForest::fit(const Matrix& x, std::span<const double> y) {
   }
 
   trees_.assign(params_.num_trees, DecisionTree(TreeParams{}));
-  ThreadPool pool(params_.num_threads);
-  pool.parallel_for(0, jobs.size(), [&](std::size_t t) {
+  for_each_tree(params_.num_threads, jobs.size(), [&](std::size_t t) {
     // Deadline::check() is owner-thread-only; pool workers use the
     // thread-safe unamortized poll.  One tree is the cancellation
     // granularity — parallel_for rethrows the kTimeout/kCancelled
@@ -136,8 +155,7 @@ void RandomForest::fit_with_workspace(const TrainingWorkspace& base,
   }
 
   trees_.assign(params_.num_trees, DecisionTree(TreeParams{}));
-  ThreadPool pool(params_.num_threads);
-  pool.parallel_for(0, jobs.size(), [&](std::size_t t) {
+  for_each_tree(params_.num_threads, jobs.size(), [&](std::size_t t) {
     if (params_.deadline != nullptr) params_.deadline->check_now();
     TreeParams tree_params;
     tree_params.max_depth = params_.max_depth;

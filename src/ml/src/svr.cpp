@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "gmd/common/error.hpp"
 
@@ -23,13 +24,17 @@ void Svr::fit(const Matrix& x, std::span<const double> y) {
   support_ = x;
   beta_.assign(n, 0.0);
 
-  // Gram matrix with the bias folded in: K~ = K + 1.
+  // Gram matrix with the bias folded in: K~ = K + 1.  Here and in the
+  // solver the inner loops index row spans, not Matrix::at: that is an
+  // out-of-line, range-checked call, n^2 times per pass.
   Matrix k(n, n);
+  double* const kd = k.row(0).data();
   for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const double> xi = x.row(i);
     for (std::size_t j = i; j < n; ++j) {
-      const double v = kernel(params_.kernel, x.row(i), x.row(j)) + 1.0;
-      k.at(i, j) = v;
-      k.at(j, i) = v;
+      const double v = kernel(params_.kernel, xi, x.row(j)) + 1.0;
+      kd[i * n + j] = v;
+      kd[j * n + i] = v;
     }
   }
 
@@ -44,7 +49,8 @@ void Svr::fit(const Matrix& x, std::span<const double> y) {
   for (unsigned pass = 0; pass < params_.max_passes; ++pass) {
     double max_delta = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double kii = k.at(i, i);
+      const std::span<const double> ki = std::as_const(k).row(i);
+      const double kii = ki[i];
       GMD_ASSERT(kii > 0.0, "kernel diagonal must be positive");
       const double g = f[i] - beta_[i] * kii - y[i];
       double b_new;
@@ -59,7 +65,7 @@ void Svr::fit(const Matrix& x, std::span<const double> y) {
       const double delta = b_new - beta_[i];
       if (delta != 0.0) {
         beta_[i] = b_new;
-        for (std::size_t j = 0; j < n; ++j) f[j] += delta * k.at(i, j);
+        for (std::size_t j = 0; j < n; ++j) f[j] += delta * ki[j];
         max_delta = std::max(max_delta, std::abs(delta));
       }
     }

@@ -284,7 +284,8 @@ PipelineResult run_pipeline(const PipelineOptions& options) {
             const std::string best = suite.best_model(metric).model;
             const dse::SurrogateSuite::DeployedModel deployed =
                 dse::SurrogateSuite::deploy(rows, metric, best,
-                                            options.surrogate.seed);
+                                            options.surrogate.seed,
+                                            options.surrogate.num_threads);
             const std::string relpath = "models/" + metric + ".model";
             ml::save_model_file(path_in(relpath), *deployed.model);
             artifacts.push_back(relpath);
@@ -317,7 +318,8 @@ PipelineResult run_pipeline(const PipelineOptions& options) {
         // it does not fail the stage.
         try {
           const std::vector<dse::Recommendation> surrogate_recs =
-              dse::recommend_from_surrogate(rows, points);
+              dse::recommend_from_surrogate(
+                  rows, points, "svr", options.surrogate.num_threads);
           report << "\n=== Best predicted points (surrogate over the "
                     "design space) ===\n"
                  << dse::format_recommendations(surrogate_recs);

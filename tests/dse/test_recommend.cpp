@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
+
 #include "gmd/common/error.hpp"
+#include "gmd/common/logging.hpp"
 #include "gmd/cpusim/workloads.hpp"
 #include "gmd/dse/config_space.hpp"
 #include "gmd/graph/generators.hpp"
@@ -103,6 +109,63 @@ TEST_F(RecommendTest, FormattedReportMentionsEachMetric) {
   const std::string text = format_recommendations(recs);
   for (const auto& metric : target_metric_names()) {
     EXPECT_NE(text.find(metric), std::string::npos) << metric;
+  }
+}
+
+class RecommendThreadInvariance : public RecommendTest {};
+
+TEST_F(RecommendThreadInvariance, SameRecommendationsAtAnyWidth) {
+  std::vector<DesignPoint> candidates;
+  candidates.reserve(rows_->size());
+  for (const auto& row : *rows_) candidates.push_back(row.point);
+  for (const std::string model : {"svr", "rf", "gb"}) {
+    const auto serial = recommend_from_surrogate(*rows_, candidates, model, 1);
+    ASSERT_EQ(serial.size(), target_metric_names().size()) << model;
+    for (const std::size_t threads : {2u, 4u, 0u}) {
+      const auto parallel =
+          recommend_from_surrogate(*rows_, candidates, model, threads);
+      ASSERT_EQ(parallel.size(), serial.size()) << model;
+      for (std::size_t m = 0; m < serial.size(); ++m) {
+        EXPECT_EQ(parallel[m].metric, serial[m].metric) << model;
+        EXPECT_EQ(parallel[m].metric, target_metric_names()[m]) << model;
+        EXPECT_EQ(parallel[m].best, serial[m].best)
+            << model << " " << serial[m].metric << " @" << threads;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(parallel[m].value),
+                  std::bit_cast<std::uint64_t>(serial[m].value))
+            << model << " " << serial[m].metric << " @" << threads;
+        EXPECT_EQ(parallel[m].rationale, serial[m].rationale) << model;
+      }
+      EXPECT_EQ(format_recommendations(parallel),
+                format_recommendations(serial))
+          << model << " @" << threads;
+    }
+  }
+}
+
+TEST_F(RecommendThreadInvariance, FirstFailingMetricInOrderIsThrown) {
+  // Two metrics whose every row is non-finite fail their deploy; the
+  // error that escapes is the earlier one in metric order, whichever
+  // worker failed first.
+  std::vector<SweepRow> rows = *rows_;
+  for (SweepRow& row : rows) {
+    row.metrics.avg_bandwidth_per_bank_mbs = std::nan("");
+    row.metrics.avg_writes_per_channel = std::nan("");
+  }
+  std::vector<DesignPoint> candidates;
+  for (const auto& row : rows) candidates.push_back(row.point);
+  for (const std::size_t threads : {1u, 4u}) {
+    log::set_sink([](log::Level, std::string_view) {});
+    try {
+      recommend_from_surrogate(rows, candidates, "linear", threads);
+      log::set_sink(nullptr);
+      FAIL() << "expected Error(kInvalidData) at " << threads << " threads";
+    } catch (const Error& e) {
+      log::set_sink(nullptr);
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidData) << e.what();
+      EXPECT_NE(std::string(e.what()).find("'bandwidth_mbs'"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

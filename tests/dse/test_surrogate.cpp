@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -261,6 +263,168 @@ TEST_F(SurrogateTest, ExpiredDeadlineStopsTreeEnsembleTraining) {
     FAIL() << "expected Error(kTimeout)";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kTimeout) << e.what();
+  }
+}
+
+// --- (metric, model) fan-out ------------------------------------------
+
+/// Rows with two whole metrics poisoned (latency_cycles and
+/// writes_per_channel, neither the first metric) and single rows
+/// quarantined in two others: degraded mode must skip the former and
+/// count the latter.
+std::vector<SweepRow> degraded_rows(const std::vector<SweepRow>& clean) {
+  std::vector<SweepRow> rows = clean;
+  for (SweepRow& row : rows) {
+    row.metrics.avg_latency_cycles = std::nan("");
+    row.metrics.avg_writes_per_channel = std::nan("");
+  }
+  rows[3].metrics.avg_bandwidth_per_bank_mbs = std::nan("");
+  rows[7].metrics.avg_total_latency_cycles = std::nan("");
+  return rows;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Asserts two suites are the same bit for bit, Table I text included.
+void expect_identical(const SurrogateSuite& a, const SurrogateSuite& b,
+                      const std::string& label) {
+  EXPECT_EQ(a.format_table1(), b.format_table1()) << label;
+  ASSERT_EQ(a.scores().size(), b.scores().size()) << label;
+  for (std::size_t i = 0; i < a.scores().size(); ++i) {
+    EXPECT_EQ(a.scores()[i].metric, b.scores()[i].metric) << label;
+    EXPECT_EQ(a.scores()[i].model, b.scores()[i].model) << label;
+    EXPECT_EQ(bits(a.scores()[i].mse), bits(b.scores()[i].mse)) << label;
+    EXPECT_EQ(bits(a.scores()[i].r2), bits(b.scores()[i].r2)) << label;
+  }
+  ASSERT_EQ(a.series().size(), b.series().size()) << label;
+  for (std::size_t i = 0; i < a.series().size(); ++i) {
+    const PredictionSeries& sa = a.series()[i];
+    const PredictionSeries& sb = b.series()[i];
+    EXPECT_EQ(sa.metric, sb.metric) << label;
+    EXPECT_EQ(sa.truth, sb.truth) << label;
+    ASSERT_EQ(sa.predictions.size(), sb.predictions.size()) << label;
+    for (const auto& [model, values] : sa.predictions) {
+      const std::vector<double>& other = sb.predictions.at(model);
+      ASSERT_EQ(values.size(), other.size()) << label << " " << model;
+      for (std::size_t k = 0; k < values.size(); ++k) {
+        EXPECT_EQ(bits(values[k]), bits(other[k]))
+            << label << " " << sa.metric << "/" << model << " #" << k;
+      }
+    }
+  }
+  ASSERT_EQ(a.skipped().size(), b.skipped().size()) << label;
+  for (std::size_t i = 0; i < a.skipped().size(); ++i) {
+    EXPECT_EQ(a.skipped()[i].metric, b.skipped()[i].metric) << label;
+    EXPECT_EQ(a.skipped()[i].code, b.skipped()[i].code) << label;
+    EXPECT_EQ(a.skipped()[i].error, b.skipped()[i].error) << label;
+  }
+  EXPECT_EQ(a.quarantined(), b.quarantined()) << label;
+}
+
+class SurrogateThreadInvariance : public SurrogateTest {};
+
+TEST_F(SurrogateThreadInvariance, FourFamiliesBitIdenticalAtAnyWidth) {
+  SurrogateOptions options;
+  options.num_threads = 1;
+  const SurrogateSuite serial = SurrogateSuite::train(*rows_, options);
+  EXPECT_EQ(serial.scores().size(),
+            target_metric_names().size() * ml::table1_model_names().size());
+  for (const std::size_t threads : {2u, 4u}) {
+    options.num_threads = threads;
+    expect_identical(serial, SurrogateSuite::train(*rows_, options),
+                     std::to_string(threads) + " threads");
+  }
+}
+
+TEST_F(SurrogateThreadInvariance, DegradedModeBitIdenticalAtAnyWidth) {
+  const std::vector<SweepRow> rows = degraded_rows(*rows_);
+  SurrogateOptions options;
+  options.skip_failed_metrics = true;
+  options.num_threads = 1;
+  log::set_sink([](log::Level, std::string_view) {});
+  const SurrogateSuite serial = SurrogateSuite::train(rows, options);
+  for (const std::size_t threads : {2u, 4u}) {
+    options.num_threads = threads;
+    expect_identical(serial, SurrogateSuite::train(rows, options),
+                     std::to_string(threads) + " threads");
+  }
+  log::set_sink(nullptr);
+  EXPECT_EQ(serial.skipped().size(), 2u);
+  EXPECT_EQ(serial.quarantined().size(), 2u);
+}
+
+TEST_F(SurrogateTest, FanOutReportsFailuresInMetricOrder) {
+  const std::vector<SweepRow> rows = degraded_rows(*rows_);
+  for (const std::size_t threads : {1u, 4u}) {
+    SurrogateOptions options;
+    options.num_threads = threads;
+    options.skip_failed_metrics = true;
+    std::vector<std::string> warnings;
+    log::set_sink([&warnings](log::Level level, std::string_view line) {
+      if (level == log::Level::kWarn) warnings.emplace_back(line);
+    });
+    const SurrogateSuite suite = SurrogateSuite::train(rows, options);
+    log::set_sink(nullptr);
+
+    ASSERT_EQ(suite.skipped().size(), 2u) << threads;
+    EXPECT_EQ(suite.skipped()[0].metric, "latency_cycles") << threads;
+    EXPECT_EQ(suite.skipped()[1].metric, "writes_per_channel") << threads;
+    EXPECT_EQ(suite.skipped()[0].code, ErrorCode::kInvalidData) << threads;
+    EXPECT_EQ(suite.quarantined().at("bandwidth_mbs"), 1u) << threads;
+    EXPECT_EQ(suite.quarantined().at("total_latency_cycles"), 1u) << threads;
+    EXPECT_EQ(suite.series().size(), target_metric_names().size() - 2)
+        << threads;
+
+    // The Table I footer lists the skips in metric order.
+    const std::string table = suite.format_table1();
+    const std::size_t first = table.find("skipped: latency_cycles");
+    const std::size_t second = table.find("skipped: writes_per_channel");
+    ASSERT_NE(first, std::string::npos) << table;
+    ASSERT_NE(second, std::string::npos) << table;
+    EXPECT_LT(first, second) << table;
+
+    // Skip warnings are logged on the caller, in the same order.
+    std::vector<std::string> skip_warnings;
+    for (const std::string& w : warnings) {
+      if (w.find("skipping metric") != std::string::npos) {
+        skip_warnings.push_back(w);
+      }
+    }
+    ASSERT_EQ(skip_warnings.size(), 2u) << threads;
+    EXPECT_NE(skip_warnings[0].find("'latency_cycles'"), std::string::npos);
+    EXPECT_NE(skip_warnings[1].find("'writes_per_channel'"),
+              std::string::npos);
+
+    // Without degraded mode the first failing metric's error escapes.
+    options.skip_failed_metrics = false;
+    log::set_sink([](log::Level, std::string_view) {});
+    try {
+      SurrogateSuite::train(rows, options);
+      log::set_sink(nullptr);
+      FAIL() << "expected Error(kInvalidData) at " << threads << " threads";
+    } catch (const Error& e) {
+      log::set_sink(nullptr);
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidData) << e.what();
+      EXPECT_NE(std::string(e.what()).find("'latency_cycles'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST_F(SurrogateTest, FitErrorOnAPoolWorkerReachesTheCaller) {
+  // An unknown family fails inside the fan-out, not in the dataset
+  // build: the worker's error must surface on the caller unchanged.
+  SurrogateOptions options;
+  options.models = {"linear", "nope"};
+  options.num_threads = 4;
+  try {
+    SurrogateSuite::train(*rows_, options);
+    FAIL() << "expected an unknown-regressor Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown regressor 'nope'"),
+              std::string::npos)
+        << e.what();
   }
 }
 

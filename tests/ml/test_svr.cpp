@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "gmd/common/error.hpp"
+#include "gmd/common/hash.hpp"
 #include "gmd/common/rng.hpp"
 #include "gmd/ml/metrics.hpp"
 
@@ -155,6 +156,35 @@ TEST(Svr, CloneKeepsFittedState) {
   const auto copy = model.clone();
   const std::vector<double> probe{0.3, 0.7};
   EXPECT_DOUBLE_EQ(copy->predict_one(probe), model.predict_one(probe));
+}
+
+// Pins the coordinate-descent iterate sequence bit for bit.  The values
+// were captured from the Matrix::at form of the solver, so they show the
+// row-span loops replay the same iterates; a change to the update order,
+// the arithmetic or the solver itself moves them.  The RBF Gram entries
+// come from std::exp, so the pins assume glibc's x86-64 exp (>= 2.28).
+TEST(SvrGolden, DualCoefficientsPassesAndPredictionsAreBitStable) {
+  Matrix x;
+  std::vector<double> y;
+  sample_nonlinear(300, 21, &x, &y);
+  SvrParams params;
+  params.kernel.gamma = 2.0;
+  Svr model(params);
+  model.fit(x, y);
+
+  Fnv1a beta;
+  for (const double b : model.dual_coefficients()) beta.mix_double(b);
+
+  Matrix probe;
+  std::vector<double> unused;
+  sample_nonlinear(64, 22, &probe, &unused);
+  Fnv1a predictions;
+  for (const double p : model.predict(probe)) predictions.mix_double(p);
+
+  EXPECT_EQ(model.passes_used(), 300u);
+  EXPECT_EQ(model.num_support_vectors(), 162u);
+  EXPECT_EQ(beta.state, 0x98fb7578895e5733ull);
+  EXPECT_EQ(predictions.state, 0xc1f121b369940c2dull);
 }
 
 }  // namespace
